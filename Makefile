@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-quick smoke faults check clean
+.PHONY: all build vet test test-race roundbench-test bench bench-quick smoke faults check clean
 
 all: build
 
@@ -21,6 +21,11 @@ test:
 # dependencies surface under the same pass that catches data races.
 test-race:
 	$(GO) test -race -shuffle=on ./...
+
+# The round benchmark is a nested module, so the root `go test ./...`
+# never compiles it; this vets and tests it against the current tree.
+roundbench-test:
+	cd roundbench && $(GO) vet ./... && $(GO) test ./...
 
 # Runs the admission benchmark suite and appends the measurements
 # (op, ns/op, allocs/op, git rev, date, solver telemetry) to
@@ -45,7 +50,7 @@ smoke:
 faults:
 	sh scripts/faults.sh
 
-check: build vet test test-race
+check: build vet test test-race roundbench-test
 
 clean:
 	$(GO) clean ./...

@@ -19,12 +19,12 @@
 package buffer
 
 import (
-	"cmp"
 	"errors"
 	"math"
-	"slices"
 
 	"mzqos/internal/dist"
+	"mzqos/internal/engine"
+	"mzqos/internal/fault"
 	"mzqos/internal/model"
 	"mzqos/internal/sim"
 )
@@ -116,12 +116,9 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 	rng := dist.NewRand(seed, seed^0x62756666)
 	t := cfg.Sim.RoundLength
 	n := cfg.Sim.N
-	type req struct {
-		cyl  int
-		zone int
-		size float64
-	}
-	reqs := make([]req, n)
+	reqs := make([]sim.SweepRequest, n)
+	finish := make([]float64, n)
+	var dr engine.DiskRoundReport
 	var (
 		clock       float64
 		visible     int
@@ -140,29 +137,17 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 				clock = roundStart
 			}
 		}
-		start := clock
 		for i := range reqs {
 			loc := cfg.Sim.Disk.SampleLocation(rng)
-			reqs[i] = req{cyl: loc.Cylinder, zone: loc.Zone, size: cfg.Sim.Sizes.Sample(rng)}
+			reqs[i] = sim.SweepRequest{Index: i, Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.Sim.Sizes.Sample(rng)}
 		}
-		slices.SortFunc(reqs, func(a, b req) int { return cmp.Compare(a.cyl, b.cyl) })
-		arm := 0
 		deadlineRaw := roundStart + t
 		deadlineVisible := roundStart + t*float64(1+cfg.SlackRounds)
-		for _, q := range reqs {
-			d := float64(q.cyl - arm)
-			if d < 0 {
-				d = -d
-			}
-			clock += cfg.Sim.Disk.Seek.Time(d)
-			clock += rng.Float64() * cfg.Sim.Disk.RotationTime
-			clock += cfg.Sim.Disk.TransferTime(q.size, q.zone)
-			arm = q.cyl
-			totalServed++
-			if clock > deadlineRaw {
-				rawLate++
-			}
-			if clock > deadlineVisible {
+		clock = sim.Sweep(reqs, cfg.Sim.Disk, clock, deadlineRaw, fault.Identity(), rng, nil, 0, r, &dr, finish, nil)
+		totalServed += n
+		rawLate += dr.Late
+		for _, f := range finish {
+			if f > deadlineVisible {
 				visible++
 			}
 		}
@@ -170,7 +155,6 @@ func Simulate(cfg SimConfig, rounds int, seed uint64) (SimResult, error) {
 			overrunSum += clock - deadlineRaw
 			overrunCnt++
 		}
-		_ = start
 	}
 	res := SimResult{Rounds: rounds}
 	if totalServed > 0 {

@@ -7,6 +7,9 @@ import (
 	"slices"
 
 	"mzqos/internal/dist"
+	"mzqos/internal/engine"
+	"mzqos/internal/fault"
+	"mzqos/internal/sim"
 )
 
 // SimResult summarizes a mixed-workload simulation.
@@ -64,38 +67,20 @@ func Simulate(cfg Config, n, rounds int, seed uint64) (SimResult, error) {
 		maxQueue     int
 		carryOver    float64 // discrete work running past the round end
 	)
-	type contReq struct {
-		cyl  int
-		zone int
-		size float64
-	}
-	reqs := make([]contReq, n)
+	reqs := make([]sim.SweepRequest, n)
+	var dr engine.DiskRoundReport
 	for r := 0; r < rounds; r++ {
 		roundStart := float64(r) * t
-		clock := roundStart + carryOver
-		carryOver = 0
 
 		// Continuous sweep (SCAN from the parked arm).
 		for i := range reqs {
 			loc := cfg.Disk.SampleLocation(rng)
-			reqs[i] = contReq{cyl: loc.Cylinder, zone: loc.Zone, size: cfg.ContinuousSizes.Sample(rng)}
+			reqs[i] = sim.SweepRequest{Index: i, Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.ContinuousSizes.Sample(rng)}
 		}
-		slices.SortFunc(reqs, func(a, b contReq) int { return cmp.Compare(a.cyl, b.cyl) })
-		arm := 0
-		for _, q := range reqs {
-			d := float64(q.cyl - arm)
-			if d < 0 {
-				d = -d
-			}
-			clock += cfg.Disk.Seek.Time(d)
-			clock += rng.Float64() * cfg.Disk.RotationTime
-			clock += cfg.Disk.TransferTime(q.size, q.zone)
-			arm = q.cyl
-			contRequests++
-			if clock > roundStart+t {
-				glitches++
-			}
-		}
+		clock := sim.Sweep(reqs, cfg.Disk, roundStart+carryOver, roundStart+t, fault.Identity(), rng, nil, 0, r, &dr, nil, nil)
+		carryOver = 0
+		contRequests += n
+		glitches += dr.Late
 		if cfg.RoundTimes != nil {
 			cfg.RoundTimes.Observe(clock - roundStart)
 		}

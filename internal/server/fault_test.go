@@ -306,6 +306,64 @@ func TestServerAndSimShareFaultSchedule(t *testing.T) {
 			t.Fatalf("round %d: sim down=%v, server down=%v", i, o.Down, serverDown[i])
 		}
 	}
+
+	// Service outcomes agree too, not just the flags: under an
+	// always-failing read window the server and the simulated engine both
+	// lose every request after exactly its two retries on every loaded
+	// faulty disk-round, and both split Busy into its three phases.
+	errPlan := &fault.Plan{Faults: []fault.Fault{
+		{Kind: fault.ReadError, Disk: fault.AllDisks, From: 5, Until: 15, Prob: 1, Retries: 2},
+	}}
+	srv := faultServer(t, 2, errPlan, DegradeConfig{})
+	eng, err := sim.NewEngine(sim.EngineConfig{
+		Disk:         disk.QuantumViking21(),
+		NumDisks:     2,
+		Sizes:        workload.PaperSizes(),
+		RoundLength:  1,
+		PerDiskLimit: srv.PerDiskLimit(),
+		Seed:         42,
+		Faults:       errPlan,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < eng.Capacity(); i++ {
+		name := fmt.Sprintf("v%d", i)
+		if err := eng.AddSyntheticObject(name, 600); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := eng.Open(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	faultyRounds := map[string]int{}
+	check := func(who string, rep RoundReport) {
+		for d, dr := range rep.Disks {
+			if dr.Requests == 0 {
+				continue
+			}
+			if diff := dr.Busy - (dr.Seek + dr.Rotation + dr.Transfer); diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("%s round %d disk %d: busy %v != seek+rotation+transfer %v",
+					who, rep.Round, d, dr.Busy, dr.Seek+dr.Rotation+dr.Transfer)
+			}
+			if !dr.Faulty {
+				continue
+			}
+			faultyRounds[who]++
+			if dr.Lost != dr.Requests || dr.Retries != 2*dr.Requests {
+				t.Errorf("%s round %d disk %d: lost %d retries %d of %d requests, want all lost after 2 retries each",
+					who, rep.Round, d, dr.Lost, dr.Retries, dr.Requests)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		check("server", srv.Step())
+		check("sim", eng.Step())
+	}
+	if faultyRounds["server"] == 0 || faultyRounds["server"] != faultyRounds["sim"] {
+		t.Errorf("loaded faulty disk-rounds: server %d, sim %d, want equal and nonzero",
+			faultyRounds["server"], faultyRounds["sim"])
+	}
 }
 
 // TestShedPolicyPluggable: a custom policy decides which streams go.

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mzqos/internal/engine"
+	"mzqos/internal/sim"
 	"mzqos/internal/slo"
 	"mzqos/internal/telemetry"
 )
@@ -220,12 +221,10 @@ func (t *Telemetry) PhaseTotals() telemetry.PhaseTotals { return t.recorder.Tota
 // concurrently with the round loop.
 func (s *Server) Telemetry() *Telemetry { return s.tel }
 
-// downRoundSentinel is the round-time (in round lengths) recorded for a
-// sweep that never happened because the disk was down. It lies beyond the
-// histogram's top finite bucket (8t), so a down round lands in the +Inf
-// bucket and counts against the empirical late tail with a finite sum —
-// the honest reading of "the deadline was missed by the whole round".
-const downRoundSentinel = 16
+// downRoundSentinel is the round time (in round lengths) recorded for a
+// sweep that never happened because the disk was down; see
+// sim.DownRoundSentinel.
+const downRoundSentinel = sim.DownRoundSentinel
 
 // observeSweep records one disk's finished sweep into the metric set,
 // the phase recorder, and the SLO audit's window estimators. Called once

@@ -1,12 +1,12 @@
 package server
 
 import (
-	"cmp"
 	"slices"
 
 	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/journal"
+	"mzqos/internal/sim"
 	"mzqos/internal/trace"
 )
 
@@ -22,17 +22,12 @@ type (
 	RunSummary = engine.RunSummary
 )
 
-// diskRequest pairs a due stream with its current fragment for the sweep.
-type diskRequest struct {
-	st   *stream
-	frag fragment
-}
-
 // Step executes one round: every active stream whose start round has
 // arrived reads its next fragment from its disk of the round; each disk
-// serves its requests in one SCAN sweep (ascending cylinders from a parked
-// arm); requests finishing after the round length are glitches for their
-// streams (§2.3). Streams that consumed their final fragment complete.
+// serves its requests in one SCAN sweep through sim.Sweep (ascending
+// cylinders from a parked arm); requests finishing after the round length
+// are glitches for their streams (§2.3). Streams that consumed their final
+// fragment complete.
 //
 // Faults scheduled by Config.Faults perturb the sweep: latency inflation
 // scales every phase, zone-rate degradation slows transfers, transient
@@ -42,18 +37,20 @@ type diskRequest struct {
 // DegradeConfig.
 //
 // Determinism: requests are gathered in ascending StreamID order and SCAN
-// ties on a cylinder break by StreamID, so a given Config.Seed (plus fault
-// plan) reproduces byte-identical reports run after run.
+// ties on a cylinder break by gather position, hence by StreamID, so a
+// given Config.Seed (plus fault plan) reproduces byte-identical reports
+// run after run.
 func (s *Server) Step() RoundReport {
 	rep := RoundReport{Round: s.round, Disks: make([]DiskRoundReport, len(s.geoms))}
 	tracing := s.trc.Enabled()
 
 	// Resolve this round's fault effects once per disk.
-	effs := make([]fault.Effects, len(s.geoms))
+	s.effs = s.effs[:0]
 	faulty := 0
-	for d := range effs {
-		effs[d] = s.inj.EffectsAt(d, s.round)
-		if effs[d].Active() {
+	for d := range s.geoms {
+		eff := s.inj.EffectsAt(d, s.round)
+		s.effs = append(s.effs, eff)
+		if eff.Active() {
 			rep.Disks[d].Faulty = true
 			faulty++
 			s.tel.disks[d].faultRounds.Inc()
@@ -63,162 +60,78 @@ func (s *Server) Step() RoundReport {
 	if s.jnl != nil {
 		// The injector is a pure function of (disk, round), so the
 		// inject/clear edges are computed statelessly each round.
-		fault.JournalTransitions(s.jnl, s.inj, s.shard, s.round, effs)
+		fault.JournalTransitions(s.jnl, s.inj, s.shard, s.round, s.effs)
 	}
 
 	// Gather the due requests per disk in ascending StreamID order (map
 	// iteration order is randomized and would break seeded reproducibility
-	// of the rotational-latency draws below).
-	ids := make([]StreamID, 0, len(s.active))
+	// of the rotational-latency draws). A request's Index is its position
+	// in s.due, which maps it back to its stream after the sweep.
+	s.ids = s.ids[:0]
 	for id := range s.active {
-		ids = append(ids, id)
+		s.ids = append(s.ids, id)
 	}
-	slices.Sort(ids)
-	perDisk := make([][]diskRequest, len(s.geoms))
-	for _, id := range ids {
+	slices.Sort(s.ids)
+	for d := range s.perDisk {
+		s.perDisk[d] = s.perDisk[d][:0]
+	}
+	s.due = s.due[:0]
+	for _, id := range s.ids {
 		st := s.active[id]
 		if s.round < st.start {
 			continue
 		}
 		d := mod(st.offset+s.round, len(s.geoms))
-		perDisk[d] = append(perDisk[d], diskRequest{st: st, frag: st.obj.frags[st.next]})
+		f := st.obj.frags[st.next]
+		s.perDisk[d] = append(s.perDisk[d], sim.SweepRequest{
+			Index: len(s.due), Cylinder: f.loc.Cylinder, Zone: f.loc.Zone, Size: f.size,
+		})
+		s.due = append(s.due, st)
 	}
+	if cap(s.finish) < len(s.due) {
+		s.finish = make([]float64, len(s.due))
+	}
+	finish := s.finish[:len(s.due)]
 
-	var done []*stream
-	for d, reqs := range perDisk {
+	var span *trace.RoundSpan
+	if tracing {
+		span = &s.trcSpan
+	}
+	s.done = s.done[:0]
+	for d, reqs := range s.perDisk {
 		if len(reqs) == 0 {
 			continue
 		}
-		eff := effs[d]
+		eff := s.effs[d]
 		dr := &rep.Disks[d]
-		dr.Requests = len(reqs)
-		if eff.Failed {
-			// Full disk failure: nothing is served, every due fragment is
-			// lost — a glitch for its stream (playback skips it, §2.3).
-			dr.Down = true
-			dr.Lost = len(reqs)
-			if tracing {
-				s.trcSpan.Requests = s.trcSpan.Requests[:0]
-			}
-			for _, r := range reqs {
-				st := r.st
-				st.served++
-				st.glitches++
-				rep.Glitches++
-				st.next++
-				if st.next >= len(st.obj.frags) {
-					done = append(done, st)
-				}
-				if tracing {
-					// No sweep happened: the event records only what was
-					// due (location, size) and that it was lost.
-					var ev *trace.RequestEvent
-					s.trcSpan.Requests, ev = trace.NextEvent(s.trcSpan.Requests)
-					ev.Stream = int64(st.id)
-					ev.Cylinder = r.frag.loc.Cylinder
-					ev.Zone = r.frag.loc.Zone
-					ev.SeekCylinders = 0
-					ev.Bytes = r.frag.size
-					ev.Start, ev.Seek, ev.Rotation, ev.Transfer = 0, 0, 0, 0
-					ev.Retries = 0
-					ev.Late = false
-					ev.Lost = true
-				}
-			}
-			s.observeSweep(d, dr)
-			if tracing {
-				s.commitSpan(d, dr, downRoundSentinel*s.cfg.RoundLength)
-				s.trc.Freeze("down_round", s.round)
-			}
-			continue
-		}
-		// SCAN: sort by cylinder (StreamID tiebreak keeps seeded runs
-		// reproducible), sweep from the parked arm at cylinder 0.
-		slices.SortFunc(reqs, func(a, b diskRequest) int {
-			if c := cmp.Compare(a.frag.loc.Cylinder, b.frag.loc.Cylinder); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.st.id, b.st.id)
-		})
-		arm := 0
-		var clock float64
-		g := s.geoms[d]
-		if tracing {
-			s.trcSpan.Requests = s.trcSpan.Requests[:0]
-		}
-		for i, r := range reqs {
-			seekCyl := r.frag.loc.Cylinder - arm
-			if seekCyl < 0 {
-				seekCyl = -seekCyl
-			}
-			seek := g.Seek.Time(float64(seekCyl)) * eff.LatencyScale
-			rot := s.rng.Float64() * g.RotationTime * eff.LatencyScale
-			trans := g.TransferTime(r.frag.size, r.frag.loc.Zone) * eff.LatencyScale / eff.RateScale
-			start := clock
-			clock += seek + rot + trans
-			dr.Seek += seek
-			dr.Rotation += rot
-			dr.Transfer += trans
-			arm = r.frag.loc.Cylinder
-
-			lost := false
-			retries := 0
-			if eff.ErrorProb > 0 {
-				for attempt := 0; s.inj.ReadError(d, s.round, i, attempt); attempt++ {
-					if attempt >= eff.Retries {
-						lost = true // retries exhausted: the fragment is lost
-						break
-					}
-					// Each retry re-reads after one full (inflated) revolution.
-					penalty := g.RotationTime * eff.LatencyScale
-					clock += penalty
-					dr.Rotation += penalty
-					rot += penalty
-					retries++
-					dr.Retries++
-				}
-			}
-
-			st := r.st
+		sim.Sweep(reqs, s.geoms[d], 0, s.cfg.RoundLength, eff, s.rng, s.inj, d, s.round, dr, finish, span)
+		// reqs is now in service order; a down disk served nothing and
+		// delivered no bytes.
+		for _, r := range reqs {
+			st := s.due[r.Index]
 			st.served++
-			s.observed.Add(r.frag.size)
-			late := false
-			switch {
-			case lost:
-				dr.Lost++
-				st.glitches++
-				rep.Glitches++
-			case clock > s.cfg.RoundLength:
-				late = true
-				dr.Late++
+			if !eff.Failed {
+				s.observed.Add(r.Size)
+			}
+			if finish[r.Index] > s.cfg.RoundLength {
 				st.glitches++
 				rep.Glitches++
 			}
 			st.next++
 			if st.next >= len(st.obj.frags) {
-				done = append(done, st)
-			}
-			if tracing {
-				var ev *trace.RequestEvent
-				s.trcSpan.Requests, ev = trace.NextEvent(s.trcSpan.Requests)
-				ev.Stream = int64(st.id)
-				ev.Cylinder = r.frag.loc.Cylinder
-				ev.Zone = r.frag.loc.Zone
-				ev.SeekCylinders = seekCyl
-				ev.Bytes = r.frag.size
-				ev.Start = start
-				ev.Seek = seek
-				ev.Rotation = rot
-				ev.Transfer = trans
-				ev.Retries = retries
-				ev.Late = late
-				ev.Lost = lost
+				s.done = append(s.done, st)
 			}
 		}
-		dr.Busy = clock
 		s.observeSweep(d, dr)
 		if tracing {
-			s.commitSpan(d, dr, dr.Busy)
+			// Sweep labels events by request index; the trace wants streams.
+			for k := range span.Requests {
+				span.Requests[k].Stream = int64(s.due[reqs[k].Index].id)
+			}
+			s.trc.Record(span)
+			if eff.Failed {
+				s.trc.Freeze("down_round", s.round)
+			}
 		}
 	}
 	s.tel.rounds.Inc()
@@ -242,12 +155,15 @@ func (s *Server) Step() RoundReport {
 		}
 	}
 
-	for _, st := range done {
+	for _, st := range s.done {
 		rep.Completed = append(rep.Completed, st.id)
 		s.retire(st, true)
 	}
 	slices.Sort(rep.Completed)
-	rep.Evicted = s.adaptToFaults(effs)
+	// The scratch must not keep retired streams reachable past the round.
+	clear(s.due)
+	clear(s.done)
+	rep.Evicted = s.adaptToFaults(s.effs)
 	// Close the round for the SLO audit after fault adaptation so a
 	// degraded round is already measured against its re-derived budgets,
 	// then record the round into the embedded history while the round

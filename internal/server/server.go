@@ -29,6 +29,7 @@ import (
 	"mzqos/internal/history"
 	"mzqos/internal/journal"
 	"mzqos/internal/model"
+	"mzqos/internal/sim"
 	"mzqos/internal/slo"
 	"mzqos/internal/telemetry"
 	"mzqos/internal/trace"
@@ -260,6 +261,17 @@ type Server struct {
 	evictedAt     int
 
 	observed dist.Welford // served fragment sizes, for recalibration
+
+	// Step's per-round scratch, truncated at the start of every round:
+	// per-disk fault effects, the sorted active ids, the per-disk sweep
+	// requests, the due streams (indexed by request Index), their
+	// completion times, and the streams that finished playback.
+	effs    []fault.Effects
+	ids     []StreamID
+	perDisk [][]sim.SweepRequest
+	due     []*stream
+	finish  []float64
+	done    []*stream
 }
 
 // New validates cfg, evaluates the admission model once per distinct disk
@@ -330,6 +342,7 @@ func New(cfg Config) (*Server, error) {
 		ledger:        cfg.Ledger,
 		shard:         cfg.Shard,
 		hist:          cfg.History,
+		perDisk:       make([][]sim.SweepRequest, len(geoms)),
 	}
 	if !cfg.Trace.Disabled {
 		tcfg := cfg.Trace

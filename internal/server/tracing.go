@@ -8,25 +8,3 @@ import "mzqos/internal/trace"
 // safe for concurrent use with the round loop, which is how the /trace
 // endpoint reads live and frozen span history while rounds execute.
 func (s *Server) Trace() *trace.Recorder { return s.trc }
-
-// commitSpan finishes the scratch span with the sweep totals of dr and
-// commits it to the recorder. The Requests slice was filled by Step as
-// the sweep executed; observed is the value the round-time histogram
-// recorded for this sweep (Busy, or the down-round sentinel), so summed
-// span Observed reproduces the histogram sum exactly.
-func (s *Server) commitSpan(d int, dr *DiskRoundReport, observed float64) {
-	sp := &s.trcSpan
-	sp.Round = s.round
-	sp.Disk = d
-	sp.Seek = dr.Seek
-	sp.Rotation = dr.Rotation
-	sp.Transfer = dr.Transfer
-	sp.Busy = dr.Busy
-	sp.Observed = observed
-	sp.Late = dr.Late
-	sp.Lost = dr.Lost
-	sp.Retries = dr.Retries
-	sp.Faulty = dr.Faulty
-	sp.Down = dr.Down
-	s.trc.Record(sp)
-}

@@ -114,9 +114,9 @@ type Engine struct {
 	evictedQ  []engine.StreamID
 	evictedAt int
 
-	sc      roundScratch
-	lateFor []bool
-	ids     []engine.StreamID // per-disk due-stream scratch
+	sc     roundScratch
+	finish []float64         // per-request completion times, Sweep output
+	ids    []engine.StreamID // per-disk due-stream scratch
 }
 
 // NewEngine builds a simulated shard engine.
@@ -266,31 +266,16 @@ func (e *Engine) Step() engine.RoundReport {
 		if n == 0 {
 			continue
 		}
-		dr.Requests = n
 		cfg := base
 		cfg.N = n
 		cfg.FaultDisk = dd
-		if cap(e.lateFor) < n {
-			e.lateFor = make([]bool, n)
+		if cap(e.finish) < n {
+			e.finish = make([]float64, n)
 		}
-		late := e.lateFor[:n]
-		var readErr func(request, attempt int) bool
-		if eff.ErrorProb > 0 {
-			round := e.round
-			readErr = func(req, attempt int) bool {
-				return e.inj.ReadError(dd, round, req, attempt)
-			}
-		}
-		total, lost := simulateRound(cfg, eff, e.round, readErr, e.rng, &e.sc, late)
-		if !eff.Failed {
-			dr.Busy = total
-		}
-		dr.Lost = lost
-		glitched := 0
+		simulateRound(cfg, eff, e.round, e.inj, e.rng, &e.sc, dr, e.finish)
 		for i, id := range e.ids {
 			st := e.streams[id]
-			if late[i] {
-				glitched++
+			if e.finish[i] > e.cfg.RoundLength {
 				st.glitches++
 			}
 			st.next++
@@ -298,12 +283,7 @@ func (e *Engine) Step() engine.RoundReport {
 				done = append(done, id)
 			}
 		}
-		rep.Glitches += glitched
-		// The kernel reports glitches (late ∪ lost) per stream and lost in
-		// aggregate; the late-only count is their difference.
-		if g := glitched - lost; g > 0 {
-			dr.Late = g
-		}
+		rep.Glitches += dr.Late + dr.Lost
 	}
 	for _, id := range done {
 		st := e.streams[id]

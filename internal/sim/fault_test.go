@@ -132,6 +132,24 @@ func TestFailedDiskStationaryEstimates(t *testing.T) {
 	}
 }
 
+// TestPositionBiasReadErrors: PositionBias honours the plan's read errors
+// like every other estimator under the same plan — with every read
+// failing and no retries, every position loses its fragment.
+func TestPositionBiasReadErrors(t *testing.T) {
+	plan := &fault.Plan{Faults: []fault.Fault{
+		{Kind: fault.ReadError, Disk: 0, From: 0, Prob: 1, Retries: 0},
+	}}
+	bias, err := PositionBias(faultCfg(6, plan), 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pos, e := range bias {
+		if e.P != 1 {
+			t.Errorf("position %d bias = %v under always-failing reads, want 1", pos, e.P)
+		}
+	}
+}
+
 func TestReadErrorFaultLosesFragments(t *testing.T) {
 	plan := &fault.Plan{Seed: 17, Faults: []fault.Fault{
 		{Kind: fault.ReadError, Disk: 0, From: 0, Prob: 0.5, Retries: 0},

@@ -6,22 +6,23 @@
 // cylinder), a fragment size from the workload's size law, and a
 // rotational latency uniform in [0, ROT) — serves them in SCAN order with
 // the geometry's seek curve, and records which requests finish within the
-// round. Monte-Carlo estimators aggregate rounds into p_late estimates
-// (Figure 1) and whole stream histories into p_error estimates (Table 2),
-// with Wilson confidence intervals and deterministic seeding for
-// reproducibility. Workers run in parallel and merge their tallies.
+// round. The serving is Sweep, the one SCAN kernel the live server, the
+// simulated engine, and the mixed and buffer simulators share.
+// Monte-Carlo estimators aggregate rounds into p_late estimates (Figure 1)
+// and whole stream histories into p_error estimates (Table 2), with Wilson
+// confidence intervals and deterministic seeding for reproducibility.
+// Workers run in parallel and merge their tallies.
 package sim
 
 import (
-	"cmp"
 	"errors"
 	"math/rand/v2"
 	"runtime"
-	"slices"
 	"sync"
 
 	"mzqos/internal/disk"
 	"mzqos/internal/dist"
+	"mzqos/internal/engine"
 	"mzqos/internal/fault"
 	"mzqos/internal/telemetry"
 	"mzqos/internal/trace"
@@ -121,169 +122,61 @@ func (c Config) sampleLocation(rng *rand.Rand) disk.Location {
 	return c.Disk.SampleLocation(rng)
 }
 
-// request is one per-round disk request during simulation.
-type request struct {
-	stream   int
-	cylinder int
-	zone     int
-	size     float64
-}
-
 // roundScratch holds per-worker buffers so the hot loop does not allocate.
 type roundScratch struct {
-	reqs []request
+	reqs []SweepRequest
 	span trace.RoundSpan // trace scratch, reused across rounds
 }
 
-// downRoundSentinel is the round time (in round lengths) recorded for a
-// round whose disk was fully failed, mirroring the server's down-round
-// accounting: beyond the histogram's top finite bucket, so the round lands
-// in +Inf and counts against the empirical late tail with a finite sum.
-const downRoundSentinel = 16
-
-// simulateRound plays one round under the given fault effects: draws the N
-// requests, serves them in SCAN order starting from cylinder 0, and reports
-// the total service time plus the number of lost (undelivered) requests. If
-// lateFor is non-nil, it is filled with one bool per stream indicating
-// whether that stream's request glitched (finished late or was lost).
-// round labels the round in trace spans (it does not affect the service
-// draws).
-//
-// readErr, when non-nil, decides read-error retries deterministically (the
-// timeline replay wires it to the plan's hash draws so a server run under
-// the same plan sees the identical error schedule); nil draws retries from
-// rng at eff.ErrorProb, which is what the Monte-Carlo estimators want.
-func simulateRound(cfg Config, eff fault.Effects, round int, readErr func(request, attempt int) bool, rng *rand.Rand, sc *roundScratch, lateFor []bool) (total float64, lost int) {
-	tracing := cfg.Trace.Enabled()
-	if eff.Failed {
-		// A down disk serves nothing: every request is lost outright.
-		for i := range lateFor {
-			lateFor[i] = true
-		}
-		total = downRoundSentinel * cfg.RoundLength
-		if cfg.RoundTimes != nil {
-			cfg.RoundTimes.Observe(total)
-		}
-		if tracing {
-			sp := &sc.span
-			sp.Requests = sp.Requests[:0]
-			for i := 0; i < cfg.N; i++ {
-				sp.Requests = append(sp.Requests, trace.RequestEvent{Stream: int64(i), Lost: true})
-			}
-			*sp = trace.RoundSpan{
-				Round: round, Disk: cfg.FaultDisk, Requests: sp.Requests,
-				Observed: total, Lost: cfg.N, Faulty: true, Down: true,
-			}
-			cfg.Trace.Record(sp)
-		}
-		return total, cfg.N
-	}
+// draw samples the round's N requests, each a placement under the
+// configured access law and a fragment size, into the scratch buffer. A
+// down disk serves nothing, so it draws nothing: its requests carry only
+// their index.
+func (sc *roundScratch) draw(cfg Config, eff fault.Effects, rng *rand.Rand) []SweepRequest {
 	if cap(sc.reqs) < cfg.N {
-		sc.reqs = make([]request, cfg.N)
+		sc.reqs = make([]SweepRequest, cfg.N)
 	}
 	reqs := sc.reqs[:cfg.N]
 	for i := range reqs {
+		if eff.Failed {
+			reqs[i] = SweepRequest{Index: i}
+			continue
+		}
 		loc := cfg.sampleLocation(rng)
-		reqs[i] = request{
-			stream:   i,
-			cylinder: loc.Cylinder,
-			zone:     loc.Zone,
-			size:     cfg.Sizes.Sample(rng),
-		}
+		reqs[i] = SweepRequest{Index: i, Cylinder: loc.Cylinder, Zone: loc.Zone, Size: cfg.Sizes.Sample(rng)}
 	}
-	// SCAN: one sweep in ascending cylinder order from the parked arm.
-	slices.SortFunc(reqs, func(a, b request) int { return cmp.Compare(a.cylinder, b.cylinder) })
-	if tracing {
-		sc.span = trace.RoundSpan{
-			Round: round, Disk: cfg.FaultDisk,
-			Requests: sc.span.Requests[:0],
-			Faulty:   eff.Active(),
-		}
-	}
-	arm := 0
-	var clock float64
-	for i := range reqs {
-		r := &reqs[i]
-		seekCyl := r.cylinder - arm
-		if seekCyl < 0 {
-			seekCyl = -seekCyl
-		}
-		seek := cfg.Disk.Seek.Time(float64(seekCyl)) * eff.LatencyScale
-		rot := rng.Float64() * cfg.Disk.RotationTime * eff.LatencyScale // rotational latency
-		trans := cfg.Disk.TransferTime(r.size, r.zone) * eff.LatencyScale / eff.RateScale
-		start := clock
-		clock += seek
-		clock += rot
-		clock += trans
-		arm = r.cylinder
+	return reqs
+}
 
-		isLost := false
-		retries := 0
-		if eff.ErrorProb > 0 {
-			for attempt := 0; ; attempt++ {
-				var fails bool
-				if readErr != nil {
-					fails = readErr(i, attempt)
-				} else {
-					fails = rng.Float64() < eff.ErrorProb
-				}
-				if !fails {
-					break
-				}
-				if attempt >= eff.Retries {
-					isLost = true // retries exhausted: the fragment is lost
-					break
-				}
-				// Each retry re-reads after one full (inflated) revolution.
-				penalty := cfg.Disk.RotationTime * eff.LatencyScale
-				clock += penalty
-				rot += penalty
-				retries++
-			}
-		}
-		if isLost {
-			lost++
-		}
-		if lateFor != nil {
-			lateFor[r.stream] = isLost || clock > cfg.RoundLength
-		}
-		if tracing {
-			sp := &sc.span
-			isLate := !isLost && clock > cfg.RoundLength
-			sp.Requests = append(sp.Requests, trace.RequestEvent{
-				Stream:        int64(r.stream),
-				Cylinder:      r.cylinder,
-				Zone:          r.zone,
-				SeekCylinders: seekCyl,
-				Bytes:         r.size,
-				Start:         start,
-				Seek:          seek,
-				Rotation:      rot,
-				Transfer:      trans,
-				Retries:       retries,
-				Late:          isLate,
-				Lost:          isLost,
-			})
-			sp.Seek += seek
-			sp.Rotation += rot
-			sp.Transfer += trans
-			sp.Retries += retries
-			if isLost {
-				sp.Lost++
-			} else if isLate {
-				sp.Late++
-			}
-		}
+// simulateRound plays one round under the given fault effects: draws the N
+// requests (none on a down disk) and serves them through Sweep from a
+// clock of 0, filling dr. It returns the round's total service time T_N —
+// the down-round sentinel when the disk was failed. If finish is non-nil,
+// finish[i] receives stream i's completion time (+Inf when lost), so the
+// stream glitched iff finish[i] > cfg.RoundLength. round labels the round
+// in trace spans and read-error draws.
+//
+// inj, when non-nil, decides read-error retries deterministically (the
+// timeline replay and the simulated engine wire the plan's hash draws so a
+// server run under the same plan sees the identical error schedule); nil
+// draws retries from rng at eff.ErrorProb, which is what the Monte-Carlo
+// estimators want.
+func simulateRound(cfg Config, eff fault.Effects, round int, inj *fault.Injector, rng *rand.Rand, sc *roundScratch, dr *engine.DiskRoundReport, finish []float64) float64 {
+	var span *trace.RoundSpan
+	if cfg.Trace.Enabled() {
+		span = &sc.span
+	}
+	total := Sweep(sc.draw(cfg, eff, rng), cfg.Disk, 0, cfg.RoundLength, eff, rng, inj, cfg.FaultDisk, round, dr, finish, span)
+	if eff.Failed {
+		total = DownRoundSentinel * cfg.RoundLength
 	}
 	if cfg.RoundTimes != nil {
-		cfg.RoundTimes.Observe(clock)
+		cfg.RoundTimes.Observe(total)
 	}
-	if tracing {
-		sc.span.Busy = clock
-		sc.span.Observed = clock
-		cfg.Trace.Record(&sc.span)
+	if span != nil {
+		cfg.Trace.Record(span)
 	}
-	return clock, lost
+	return total
 }
 
 // Estimate is a Monte-Carlo probability estimate with a 95% Wilson score
@@ -344,9 +237,10 @@ func EstimatePLate(cfg Config, trials int, seed uint64) (Estimate, error) {
 			defer wg.Done()
 			rng := dist.NewRand(seed, uint64(w)*0x9e3779b97f4a7c15+1)
 			var sc roundScratch
+			var dr engine.DiskRoundReport
 			var h int64
 			for i := 0; i < share; i++ {
-				if total, _ := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, &sc, nil); total > cfg.RoundLength {
+				if simulateRound(cfg, eff, cfg.FaultRound, nil, rng, &sc, &dr, nil) > cfg.RoundLength {
 					h++
 				}
 			}
@@ -390,7 +284,8 @@ func EstimatePError(cfg Config, rounds, glitches, runs int, seed uint64) (Estima
 			defer wg.Done()
 			rng := dist.NewRand(seed^0xabcdef, uint64(w)*0x9e3779b97f4a7c15+1)
 			var sc roundScratch
-			late := make([]bool, cfg.N)
+			var dr engine.DiskRoundReport
+			finish := make([]float64, cfg.N)
 			counts := make([]int, cfg.N)
 			var h int64
 			for run := 0; run < share; run++ {
@@ -398,9 +293,9 @@ func EstimatePError(cfg Config, rounds, glitches, runs int, seed uint64) (Estima
 					counts[i] = 0
 				}
 				for r := 0; r < rounds; r++ {
-					simulateRound(cfg, eff, r, nil, rng, &sc, late)
-					for s, isLate := range late {
-						if isLate {
+					simulateRound(cfg, eff, r, nil, rng, &sc, &dr, finish)
+					for s, f := range finish {
+						if f > cfg.RoundLength {
 							counts[s]++
 						}
 					}
@@ -459,8 +354,9 @@ func MeasureRounds(cfg Config, trials int, seed uint64) (RoundStats, error) {
 			defer wg.Done()
 			rng := dist.NewRand(seed^0x5eed, uint64(w)*0x9e3779b97f4a7c15+1)
 			var sc roundScratch
+			var dr engine.DiskRoundReport
 			for i := 0; i < share; i++ {
-				total, _ := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, &sc, nil)
+				total := simulateRound(cfg, eff, cfg.FaultRound, nil, rng, &sc, &dr, nil)
 				accs[w].Add(total)
 				if total > cfg.RoundLength {
 					lates[w]++
@@ -487,8 +383,9 @@ func MeasureRounds(cfg Config, trials int, seed uint64) (RoundStats, error) {
 // position: requests served late in the sweep are far more likely to miss
 // the deadline. This is exactly why §3.3 requires fragments to occupy
 // "uncorrelated positions of the sweeps" across rounds — random placement
-// turns this positional unfairness into a fair lottery over streams. The
-// returned slice has one estimate per sweep position (0 = first served).
+// turns this positional unfairness into a fair lottery over streams. A
+// fragment lost to read errors misses at its position. The returned slice
+// has one estimate per sweep position (0 = first served).
 func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -499,14 +396,6 @@ func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
 	eff, err := cfg.stationaryEffects()
 	if err != nil {
 		return nil, err
-	}
-	if eff.Failed {
-		// Every position misses on a down disk; the sweep below never runs.
-		out := make([]Estimate, cfg.N)
-		for pos := range out {
-			out[pos] = newEstimate(int64(trials), int64(trials))
-		}
-		return out, nil
 	}
 	nw := cfg.workers()
 	var wg sync.WaitGroup
@@ -522,29 +411,15 @@ func PositionBias(cfg Config, trials int, seed uint64) ([]Estimate, error) {
 			defer wg.Done()
 			rng := dist.NewRand(seed^0xb1a5, uint64(w)*0x9e3779b97f4a7c15+1)
 			var sc roundScratch
-			if cap(sc.reqs) < cfg.N {
-				sc.reqs = make([]request, cfg.N)
-			}
+			var dr engine.DiskRoundReport
+			finish := make([]float64, cfg.N)
 			for i := 0; i < share; i++ {
-				reqs := sc.reqs[:cfg.N]
-				for j := range reqs {
-					loc := cfg.sampleLocation(rng)
-					reqs[j] = request{cylinder: loc.Cylinder, zone: loc.Zone, size: cfg.Sizes.Sample(rng)}
-				}
-				slices.SortFunc(reqs, func(a, b request) int { return cmp.Compare(a.cylinder, b.cylinder) })
-				arm := 0
-				var clock float64
-				for pos := range reqs {
-					r := &reqs[pos]
-					d := float64(r.cylinder - arm)
-					if d < 0 {
-						d = -d
-					}
-					clock += cfg.Disk.Seek.Time(d) * eff.LatencyScale
-					clock += rng.Float64() * cfg.Disk.RotationTime * eff.LatencyScale
-					clock += cfg.Disk.TransferTime(r.size, r.zone) * eff.LatencyScale / eff.RateScale
-					arm = r.cylinder
-					if clock > cfg.RoundLength {
+				reqs := sc.draw(cfg, eff, rng)
+				Sweep(reqs, cfg.Disk, 0, cfg.RoundLength, eff, rng, nil, cfg.FaultDisk, cfg.FaultRound, &dr, finish, nil)
+				// Sweep leaves reqs in service order (caller order on a
+				// down disk, where every position is lost anyway).
+				for pos, r := range reqs {
+					if finish[r.Index] > cfg.RoundLength {
 						hits[w][pos]++
 					}
 				}
@@ -600,25 +475,16 @@ func ReplayRounds(cfg Config, rounds int, seed uint64) ([]RoundOutcome, error) {
 	}
 	rng := dist.NewRand(seed, seed^0x9e3779b97f4a7c15)
 	var sc roundScratch
-	late := make([]bool, cfg.N)
+	var dr engine.DiskRoundReport
 	out := make([]RoundOutcome, 0, rounds)
 	for r := 0; r < rounds; r++ {
 		eff := inj.EffectsAt(cfg.FaultDisk, r)
-		readErr := func(request, attempt int) bool {
-			return inj.ReadError(cfg.FaultDisk, r, request, attempt)
-		}
-		total, lost := simulateRound(cfg, eff, r, readErr, rng, &sc, late)
-		glitches := 0
-		for _, l := range late {
-			if l {
-				glitches++
-			}
-		}
+		total := simulateRound(cfg, eff, r, inj, rng, &sc, &dr, nil)
 		out = append(out, RoundOutcome{
 			Round:    r,
 			Total:    total,
-			Glitches: glitches,
-			Lost:     lost,
+			Glitches: dr.Late + dr.Lost,
+			Lost:     dr.Lost,
 			Faulty:   eff.Active(),
 			Down:     eff.Failed,
 		})

@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-race roundbench-test bench bench-quick smoke faults check clean
+.PHONY: all build vet fmt-check test test-race roundbench-test bench bench-quick smoke faults check clean
 
 all: build
 
@@ -13,6 +13,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails, listing the files, when any tracked Go file is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -50,7 +55,7 @@ smoke:
 faults:
 	sh scripts/faults.sh
 
-check: build vet test test-race roundbench-test
+check: build vet fmt-check test test-race roundbench-test
 
 clean:
 	$(GO) clean ./...

@@ -250,10 +250,13 @@ func Suite() []Case {
 		{Name: "JournalAppend/ring/steady", Bench: benchJournalAppend},
 		{Name: "HistorySample/32series/steady", Bench: benchHistorySample},
 		{Name: "ServerStep/paperLoad/trace-off", Bench: func(b *testing.B) {
-			benchServerStep(b, true)
+			benchServerStep(b, 1, true)
 		}},
 		{Name: "ServerStep/paperLoad/trace-on", Bench: func(b *testing.B) {
-			benchServerStep(b, false)
+			benchServerStep(b, 1, false)
+		}},
+		{Name: "ServerStep/16disks/paperLoad/trace-off", Bench: func(b *testing.B) {
+			benchServerStep(b, 16, true)
 		}},
 		{Name: "Experiment/e2-multizone", Bench: func(b *testing.B) {
 			benchExperiment(b, "e2")
@@ -501,15 +504,16 @@ func benchHistorySample(b *testing.B) {
 }
 
 // benchServerStep measures one round of the server's Step hot path at the
-// paper's full admitted load (N_max streams on one Quantum Viking 2.1
-// disk, 1 s rounds), with the flight recorder either off or on. The
-// trace-on/trace-off ratio is the recorded tracing overhead; the
-// observability PR claims it stays under 5%.
-func benchServerStep(b *testing.B, traceOff bool) {
+// paper's full admitted load (N_max streams on each of `disks` Quantum
+// Viking 2.1 disks, 1 s rounds), with the flight recorder either off or
+// on. The 1-disk trace-on/trace-off ratio is the recorded tracing
+// overhead, claimed to stay under 5%; the 16-disk round (416 streams) is
+// where gathering the due requests costs the most.
+func benchServerStep(b *testing.B, disks int, traceOff bool) {
 	b.Helper()
 	s, err := server.New(server.Config{
 		Disk:        disk.QuantumViking21(),
-		NumDisks:    1,
+		NumDisks:    disks,
 		RoundLength: 1,
 		Sizes:       workload.PaperSizes(),
 		Guarantee:   model.Guarantee{Threshold: 0.01},

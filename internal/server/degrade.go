@@ -215,18 +215,16 @@ func (s *Server) applyDegraded(effs []fault.Effects, sig string) []StreamID {
 // streams retire un-done (their stats remain queryable like any close).
 func (s *Server) shedToLimit() []StreamID {
 	var evicted []StreamID
-	for class := range s.classes {
-		excess := s.classes[class] - s.nmax
+	for class, set := range s.classes {
+		excess := len(set) - s.nmax
 		if excess <= 0 {
 			continue
 		}
-		ids := make([]StreamID, 0, s.classes[class])
-		for id, st := range s.active {
-			if st.offset == class {
-				ids = append(ids, id)
-			}
+		// The policy gets a copy: evictions below edit the class set.
+		ids := make([]StreamID, len(set))
+		for i, st := range set {
+			ids[i] = st.id
 		}
-		slices.Sort(ids)
 		for _, id := range s.deg.policy(class, ids, excess) {
 			st, ok := s.active[id]
 			if !ok || st.offset != class {

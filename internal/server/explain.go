@@ -53,7 +53,7 @@ func (s *Server) recordRejection(object, reason string) {
 		Object:  object,
 		Reason:  reason,
 		NMax:    s.nmax,
-		Classes: append([]int(nil), s.classes...),
+		Classes: s.occupancy(make([]int, 0, len(s.classes))),
 	}
 	s.admMu.Lock()
 	ev.Seq = s.rejectSeq
@@ -105,13 +105,15 @@ func (s *Server) Rejections() []RejectionEvent {
 	return out
 }
 
-// syncClassesView republishes the per-class occupancy for concurrent
-// readers. Called on the loop thread whenever classes changes (admit,
-// retire, pause, resume); readers copy under the same mutex.
-func (s *Server) syncClassesView() {
+// publishOccupancy republishes the per-class occupancy for concurrent
+// readers and the active-stream gauge. Called on the loop thread whenever
+// a class set changes (enroll, withdraw); readers copy under the same
+// mutex.
+func (s *Server) publishOccupancy() {
 	s.admMu.Lock()
-	s.classesView = append(s.classesView[:0], s.classes...)
+	s.classesView = s.occupancy(s.classesView[:0])
 	s.admMu.Unlock()
+	s.tel.active.Set(float64(len(s.active)))
 }
 
 // AdmissionStatus is the server's admission-explanation surface: the

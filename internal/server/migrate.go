@@ -64,10 +64,7 @@ func streamState(st *stream) engine.StreamState {
 func (s *Server) ExportStream(id StreamID) (engine.StreamState, error) {
 	if st, ok := s.active[id]; ok {
 		state := streamState(st)
-		delete(s.active, id)
-		s.classes[st.offset]--
-		s.syncClassesView()
-		s.tel.active.Set(float64(len(s.active)))
+		s.withdraw(st)
 		s.ledger.Suspend(s.shard, int64(id), journal.Delivered{
 			StartupDelay: st.delay,
 			Served:       st.served,
@@ -99,45 +96,21 @@ func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
 		return 0, 0, fmt.Errorf("%w: import position %d outside %q (%d fragments)",
 			ErrConfig, state.Position, state.Object, len(obj.frags))
 	}
-	if s.nmax == 0 {
-		s.tel.rejected.Inc()
-		s.recordRejection(state.Object, RejectOverload)
-		return 0, 0, ErrRejected
+	class, delay, ok := s.leastLoaded(obj.base + state.Position)
+	if !ok {
+		return 0, 0, s.reject(state.Object)
 	}
-	d := len(s.geoms)
-	bestDelay := -1
-	bestCount := s.nmax
-	for delay := 0; delay < d; delay++ {
-		class := mod(obj.base+state.Position-(s.round+delay), d)
-		if s.classes[class] < bestCount {
-			bestCount = s.classes[class]
-			bestDelay = delay
-		}
-	}
-	if bestDelay < 0 {
-		s.tel.rejected.Inc()
-		s.recordRejection(state.Object, RejectClassesFull)
-		return 0, 0, ErrRejected
-	}
-	class := mod(obj.base+state.Position-(s.round+bestDelay), d)
-	s.nextID++
 	st := &stream{
-		id:       s.nextID,
 		obj:      obj,
 		offset:   class,
 		next:     state.Position,
-		start:    s.round + bestDelay,
-		delay:    state.Delay + bestDelay,
+		start:    s.round + delay,
+		delay:    state.Delay + delay,
 		served:   state.Served,
 		glitches: state.Glitches,
 	}
-	s.active[st.id] = st
-	s.classes[class]++
-	s.syncClassesView()
-	s.tel.admitted.Inc()
-	s.tel.active.Set(float64(len(s.active)))
-	s.journalAdmit(st, true)
-	return st.id, bestDelay, nil
+	s.admit(st, true)
+	return st.id, delay, nil
 }
 
 // ActiveStreams returns the open-stream ids, ascending — the drain list a
@@ -145,8 +118,10 @@ func (s *Server) ImportStream(state engine.StreamState) (StreamID, int, error) {
 // sibling replicas.
 func (s *Server) ActiveStreams() []StreamID {
 	ids := make([]StreamID, 0, len(s.active))
-	for id := range s.active {
-		ids = append(ids, id)
+	for _, set := range s.classes {
+		for _, st := range set {
+			ids = append(ids, st.id)
+		}
 	}
 	slices.Sort(ids)
 	return ids

@@ -234,14 +234,5 @@ func TestPauseManyInterleaved(t *testing.T) {
 	if s.Active()+s.Paused() != 30 {
 		t.Errorf("active %d + paused %d != 30", s.Active(), s.Paused())
 	}
-	var classSum int
-	for _, c := range s.classes {
-		if c < 0 {
-			t.Fatalf("negative class count: %v", s.classes)
-		}
-		classSum += c
-	}
-	if classSum != s.Active() {
-		t.Errorf("class sum %d != active %d", classSum, s.Active())
-	}
+	checkClassSets(t, s)
 }

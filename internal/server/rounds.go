@@ -36,10 +36,12 @@ type (
 // enabled the server reacts to sustained faults after the sweep — see
 // DegradeConfig.
 //
-// Determinism: requests are gathered in ascending StreamID order and SCAN
-// ties on a cylinder break by gather position, hence by StreamID, so a
-// given Config.Seed (plus fault plan) reproduces byte-identical reports
-// run after run.
+// Determinism: every stream of offset class c reads disk (c+round) mod D,
+// so each disk's requests are gathered from one class set in ascending
+// StreamID order, and SCAN ties on a cylinder break by gather position,
+// hence by StreamID. Disks are swept in index order, so a given
+// Config.Seed (plus fault plan) reproduces byte-identical reports run
+// after run.
 func (s *Server) Step() RoundReport {
 	rep := RoundReport{Round: s.round, Disks: make([]DiskRoundReport, len(s.geoms))}
 	tracing := s.trc.Enabled()
@@ -63,30 +65,25 @@ func (s *Server) Step() RoundReport {
 		fault.JournalTransitions(s.jnl, s.inj, s.shard, s.round, s.effs)
 	}
 
-	// Gather the due requests per disk in ascending StreamID order (map
-	// iteration order is randomized and would break seeded reproducibility
-	// of the rotational-latency draws). A request's Index is its position
-	// in s.due, which maps it back to its stream after the sweep.
-	s.ids = s.ids[:0]
-	for id := range s.active {
-		s.ids = append(s.ids, id)
-	}
-	slices.Sort(s.ids)
-	for d := range s.perDisk {
-		s.perDisk[d] = s.perDisk[d][:0]
-	}
+	// Gather the due requests: class c loads disk (c+round) mod D this
+	// round, one class per disk, and each class set is in ascending
+	// StreamID order. A request's Index is its position in s.due, which
+	// maps it back to its stream after the sweep.
 	s.due = s.due[:0]
-	for _, id := range s.ids {
-		st := s.active[id]
-		if s.round < st.start {
-			continue
+	for c, set := range s.classes {
+		d := (c + s.round) % len(s.geoms)
+		reqs := s.perDisk[d][:0]
+		for _, st := range set {
+			if s.round < st.start {
+				continue
+			}
+			f := st.obj.frags[st.next]
+			reqs = append(reqs, sim.SweepRequest{
+				Index: len(s.due), Cylinder: f.loc.Cylinder, Zone: f.loc.Zone, Size: f.size,
+			})
+			s.due = append(s.due, st)
 		}
-		d := mod(st.offset+s.round, len(s.geoms))
-		f := st.obj.frags[st.next]
-		s.perDisk[d] = append(s.perDisk[d], sim.SweepRequest{
-			Index: len(s.due), Cylinder: f.loc.Cylinder, Zone: f.loc.Zone, Size: f.size,
-		})
-		s.due = append(s.due, st)
+		s.perDisk[d] = reqs
 	}
 	if cap(s.finish) < len(s.due) {
 		s.finish = make([]float64, len(s.due))

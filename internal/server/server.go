@@ -15,10 +15,12 @@
 package server
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
 
@@ -178,6 +180,17 @@ type stream struct {
 	served   int
 }
 
+// stats reports st's service so far; done marks a finished playback.
+func (st *stream) stats(done bool) StreamStats {
+	return StreamStats{
+		Object:       st.obj.name,
+		Served:       st.served,
+		Glitches:     st.glitches,
+		StartupDelay: st.delay,
+		Done:         done,
+	}
+}
+
 // StreamStats reports the service quality one stream experienced.
 type StreamStats struct {
 	Object   string
@@ -210,7 +223,7 @@ type Server struct {
 	catalog  map[string]*object
 	active   map[StreamID]*stream
 	paused   map[StreamID]*stream
-	classes  []int // active streams per offset class
+	classes  [][]*stream // active streams per offset class, ascending StreamID
 	tel      *Telemetry
 	inj      *fault.Injector // nil-safe: a nil injector is a healthy array
 	deg      degradeState
@@ -242,7 +255,7 @@ type Server struct {
 	rejections  []RejectionEvent
 	rejectAt    int
 	rejectSeq   int64
-	classesView []int     // copy of classes for concurrent readers
+	classesView []int     // per-class occupancy for concurrent readers
 	sloHints    []SLOHint // active recalibration hints, one per firing target
 
 	// Retired-stream stats: a bounded FIFO ring so glitch counts stay
@@ -263,11 +276,10 @@ type Server struct {
 	observed dist.Welford // served fragment sizes, for recalibration
 
 	// Step's per-round scratch, truncated at the start of every round:
-	// per-disk fault effects, the sorted active ids, the per-disk sweep
-	// requests, the due streams (indexed by request Index), their
-	// completion times, and the streams that finished playback.
+	// per-disk fault effects, the per-disk sweep requests, the due
+	// streams (indexed by request Index), their completion times, and the
+	// streams that finished playback.
 	effs    []fault.Effects
-	ids     []StreamID
 	perDisk [][]sim.SweepRequest
 	due     []*stream
 	finish  []float64
@@ -330,7 +342,7 @@ func New(cfg Config) (*Server, error) {
 		catalog:    make(map[string]*object),
 		active:     make(map[StreamID]*stream),
 		paused:     make(map[StreamID]*stream),
-		classes:    make([]int, len(geoms)),
+		classes:    make([][]*stream, len(geoms)),
 		tel:        tel,
 		finished:   make(map[StreamID]StreamStats),
 		retiredCap: retiredCap,
@@ -368,7 +380,7 @@ func New(cfg Config) (*Server, error) {
 		s.deg.policy = ShedNewest
 	}
 	s.publishLimits()
-	s.syncClassesView()
+	s.publishOccupancy()
 	if s.log != nil {
 		s.log.Info("server configured",
 			"disks", len(geoms),
@@ -582,46 +594,86 @@ func (s *Server) Open(name string) (id StreamID, startupDelay int, err error) {
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownObject, name)
 	}
-	if s.nmax == 0 {
-		s.tel.rejected.Inc()
-		s.recordRejection(name, RejectOverload)
-		return 0, 0, ErrRejected
+	class, delay, ok := s.leastLoaded(obj.base)
+	if !ok {
+		return 0, 0, s.reject(name)
 	}
-	// Starting in round s.round+delay puts the stream in offset class
-	// (base − (round+delay)) mod D. Pick the least-loaded class (smallest
-	// delay on ties) so load stays balanced across disks; reject when even
-	// the emptiest class is at N_max.
+	st := &stream{obj: obj, offset: class, start: s.round + delay, delay: delay}
+	s.admit(st, false)
+	return st.id, delay, nil
+}
+
+// leastLoaded picks the start slot of a stream whose next fragment lives
+// on disk phase mod D: starting delay rounds from now puts it in offset
+// class (phase − (round+delay)) mod D. It returns the least-loaded class
+// (smallest delay on ties), or ok false when every such class is full.
+func (s *Server) leastLoaded(phase int) (class, delay int, ok bool) {
 	d := len(s.geoms)
-	bestDelay := -1
-	bestCount := s.nmax
-	for delay := 0; delay < d; delay++ {
-		class := mod(obj.base-(s.round+delay), d)
-		if s.classes[class] < bestCount {
-			bestCount = s.classes[class]
-			bestDelay = delay
+	best := s.nmax
+	delay = -1
+	for dl := 0; dl < d; dl++ {
+		c := mod(phase-(s.round+dl), d)
+		if n := len(s.classes[c]); n < best {
+			best, class, delay = n, c, dl
 		}
 	}
-	if bestDelay < 0 {
-		s.tel.rejected.Inc()
-		s.recordRejection(name, RejectClassesFull)
-		return 0, 0, ErrRejected
+	return class, delay, delay >= 0
+}
+
+// reject counts and records an admission refusal of object and returns
+// ErrRejected: overload when N_max is zero, classes_full otherwise.
+func (s *Server) reject(object string) error {
+	reason := RejectClassesFull
+	if s.nmax == 0 {
+		reason = RejectOverload
 	}
-	class := mod(obj.base-(s.round+bestDelay), d)
+	s.tel.rejected.Inc()
+	s.recordRejection(object, reason)
+	return ErrRejected
+}
+
+// admit gives st the next StreamID and makes it active.
+func (s *Server) admit(st *stream, imported bool) {
 	s.nextID++
-	st := &stream{
-		id:     s.nextID,
-		obj:    obj,
-		offset: class,
-		start:  s.round + bestDelay,
-		delay:  bestDelay,
-	}
-	s.active[st.id] = st
-	s.classes[class]++
-	s.syncClassesView()
+	st.id = s.nextID
+	s.enroll(st)
 	s.tel.admitted.Inc()
-	s.tel.active.Set(float64(len(s.active)))
-	s.journalAdmit(st, false)
-	return st.id, bestDelay, nil
+	s.journalAdmit(st, imported)
+}
+
+// enroll adds st to the active map and to its class set, keeping the set
+// in ascending StreamID order. An admitted stream holds the largest id
+// yet, so its insert is an append; only Resume re-enters an older id.
+func (s *Server) enroll(st *stream) {
+	set := s.classes[st.offset]
+	if n := len(set); n == 0 || set[n-1].id < st.id {
+		set = append(set, st)
+	} else {
+		i, _ := slices.BinarySearchFunc(set, st.id, byID)
+		set = slices.Insert(set, i, st)
+	}
+	s.classes[st.offset] = set
+	s.active[st.id] = st
+	s.publishOccupancy()
+}
+
+// withdraw removes st from the active map and its class set.
+func (s *Server) withdraw(st *stream) {
+	set := s.classes[st.offset]
+	i, _ := slices.BinarySearchFunc(set, st.id, byID)
+	s.classes[st.offset] = slices.Delete(set, i, i+1)
+	delete(s.active, st.id)
+	s.publishOccupancy()
+}
+
+func byID(st *stream, id StreamID) int { return cmp.Compare(st.id, id) }
+
+// occupancy appends the stream count of every offset class to dst.
+func (s *Server) occupancy(dst []int) []int {
+	for _, set := range s.classes {
+		dst = append(dst, len(set))
+	}
+	return dst
 }
 
 // Close stops a stream early (active or paused), releasing its admission
@@ -635,29 +687,15 @@ func (s *Server) Close(id StreamID) error {
 		// The slot was already released at Pause time.
 		delete(s.paused, id)
 		s.tel.paused.Set(float64(len(s.paused)))
-		s.rememberFinished(st.id, StreamStats{
-			Object:       st.obj.name,
-			Served:       st.served,
-			Glitches:     st.glitches,
-			StartupDelay: st.delay,
-		})
+		s.rememberFinished(st.id, st.stats(false))
 		return nil
 	}
 	return ErrUnknownStream
 }
 
 func (s *Server) retire(st *stream, done bool) {
-	delete(s.active, st.id)
-	s.classes[st.offset]--
-	s.syncClassesView()
-	s.tel.active.Set(float64(len(s.active)))
-	s.rememberFinished(st.id, StreamStats{
-		Object:       st.obj.name,
-		Served:       st.served,
-		Glitches:     st.glitches,
-		StartupDelay: st.delay,
-		Done:         done,
-	})
+	s.withdraw(st)
+	s.rememberFinished(st.id, st.stats(done))
 }
 
 // rememberFinished stores a retired stream's stats in the bounded FIFO
@@ -700,12 +738,7 @@ func (s *Server) Stats(id StreamID) (StreamStats, error) {
 		st, ok = s.paused[id]
 	}
 	if ok {
-		return StreamStats{
-			Object:       st.obj.name,
-			Served:       st.served,
-			Glitches:     st.glitches,
-			StartupDelay: st.delay,
-		}, nil
+		return st.stats(false), nil
 	}
 	if fs, ok := s.finished[id]; ok {
 		return fs, nil
